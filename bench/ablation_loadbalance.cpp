@@ -332,11 +332,9 @@ KernelResult scoreWindow(const SpiceStats &End, const SpiceStats &Mid,
   return R;
 }
 
-KernelResult runOtterKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv) {
+KernelResult runOtterKernel(SpiceRuntime &RT, LoopOptions O, int Inv) {
   ClauseList List(1200, 8);
   OtterTraits Traits;
-  LoopOptions O;
-  O.Chunking = CP;
   auto Loop = RT.makeLoop(Traits, O);
   bool Correct = true;
   SpiceStats Mid;
@@ -395,7 +393,7 @@ struct RefreshTraits {
   void combine(State &Into, State &&Chunk) { Into.Sum += Chunk.Sum; }
 };
 
-KernelResult runRefreshKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv,
+KernelResult runRefreshKernel(SpiceRuntime &RT, LoopOptions O, int Inv,
                               int64_t Trip) {
   RefreshTraits Traits;
   Traits.Trip = Trip;
@@ -406,8 +404,6 @@ KernelResult runRefreshKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv,
   Traits.WritePos = Trip / 4 + 4;
   Traits.ReaderStride = Trip / 4;
   Traits.ReaderOffset = 8;
-  LoopOptions O;
-  O.Chunking = CP;
   O.EnableConflictDetection = true;
   auto Loop = RT.makeLoop(Traits, O);
   bool Correct = true;
@@ -471,13 +467,11 @@ struct PinnedHotspotTraits {
   void combine(State &Into, State &&Chunk) { Into.Sum += Chunk.Sum; }
 };
 
-KernelResult runPinnedHotspotKernel(SpiceRuntime &RT, ChunkPolicy CP,
+KernelResult runPinnedHotspotKernel(SpiceRuntime &RT, LoopOptions O,
                                     int Inv, int64_t Trip) {
   PinnedHotspotTraits Traits;
   Traits.Trip = Trip;
   Traits.HotLen = Trip / 4;
-  LoopOptions O;
-  O.Chunking = CP;
   O.UseWeightedWork = true;
   O.RememoizeEveryInvocation = false;
   auto Loop = RT.makeLoop(Traits, O);
@@ -495,12 +489,10 @@ KernelResult runPinnedHotspotKernel(SpiceRuntime &RT, ChunkPolicy CP,
   return R;
 }
 
-KernelResult runKsKernel(SpiceRuntime &RT, ChunkPolicy CP, int Steps) {
+KernelResult runKsKernel(SpiceRuntime &RT, LoopOptions O, int Steps) {
   KsGraph G(512, 6, 7);
   KsTraits Traits;
   Traits.Graph = &G;
-  LoopOptions O;
-  O.Chunking = CP;
   auto Loop = RT.makeLoop(Traits, O);
   bool Correct = true;
   SpiceStats Mid;
@@ -527,11 +519,9 @@ KernelResult runKsKernel(SpiceRuntime &RT, ChunkPolicy CP, int Steps) {
 /// packet pipeline, every extra boundary is another conflict surface, so
 /// coarse chunks win -- but through the conflict-detection path rather
 /// than counter collisions.
-KernelResult runMcfKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv) {
+KernelResult runMcfKernel(SpiceRuntime &RT, LoopOptions O, int Inv) {
   BasisTree Tree(2048, 31);
   McfTraits Traits;
-  LoopOptions O;
-  O.Chunking = CP;
   O.EnableConflictDetection = true;
   auto Loop = RT.makeLoop(Traits, O);
   bool Correct = true;
@@ -548,12 +538,10 @@ KernelResult runMcfKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv) {
   return R;
 }
 
-KernelResult runPacketsKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv,
+KernelResult runPacketsKernel(SpiceRuntime &RT, LoopOptions O, int Inv,
                               size_t TraceLen) {
   PacketPipeline Live(256, 64, TraceLen, 91);
   PacketPipeline Ref(256, 64, TraceLen, 91);
-  LoopOptions O;
-  O.Chunking = CP;
   auto Loop = Live.makeLoop(RT, O);
   bool Correct = true;
   SpiceStats Mid;
@@ -725,26 +713,26 @@ int main() {
   const size_t AdPktLen = Bench.pick<size_t>(1 << 12, 1 << 11);
   struct AdaptiveKernel {
     const char *Name;
-    std::function<KernelResult(ChunkPolicy)> Run;
+    std::function<KernelResult(LoopOptions)> Run;
   };
   const AdaptiveKernel Kernels[] = {
       {"otter (churn)",
-       [&](ChunkPolicy CP) { return runOtterKernel(RT, CP, AdOtterInv); }},
+       [&](LoopOptions O) { return runOtterKernel(RT, O, AdOtterInv); }},
       {"refresh (mid-scan write)",
-       [&](ChunkPolicy CP) {
-         return runRefreshKernel(RT, CP, AdRefInv, AdRefTrip);
+       [&](LoopOptions O) {
+         return runRefreshKernel(RT, O, AdRefInv, AdRefTrip);
        }},
       {"pinned hotspot",
-       [&](ChunkPolicy CP) {
-         return runPinnedHotspotKernel(RT, CP, AdHotInv, AdHotTrip);
+       [&](LoopOptions O) {
+         return runPinnedHotspotKernel(RT, O, AdHotInv, AdHotTrip);
        }},
       {"ks (shrinking list)",
-       [&](ChunkPolicy CP) { return runKsKernel(RT, CP, AdKsSteps); }},
+       [&](LoopOptions O) { return runKsKernel(RT, O, AdKsSteps); }},
       {"mcf (stale potentials)",
-       [&](ChunkPolicy CP) { return runMcfKernel(RT, CP, AdMcfInv); }},
+       [&](LoopOptions O) { return runMcfKernel(RT, O, AdMcfInv); }},
       {"packets (counter-dense)",
-       [&](ChunkPolicy CP) {
-         return runPacketsKernel(RT, CP, AdPktInv, AdPktLen);
+       [&](LoopOptions O) {
+         return runPacketsKernel(RT, O, AdPktInv, AdPktLen);
        }},
   };
   const unsigned StaticKs[] = {1u, 2u, 4u, 8u};
@@ -767,13 +755,17 @@ int main() {
     double StaticScore[4];
     double BestStatic = 0.0;
     for (size_t I = 0; I != 4; ++I) {
-      KernelResult S = Kernel.Run(ChunkPolicy::Static(StaticKs[I]));
+      LoopOptions Static;
+      Static.ChunksPerThread = StaticKs[I];
+      KernelResult S = Kernel.Run(Static);
       SweepCorrect &= S.Correct;
       StaticScore[I] = S.Score;
       BestStatic = std::max(BestStatic, S.Score);
       StaticLogSum[I] += std::log(std::max(S.Score, 1e-9));
     }
-    KernelResult A = Kernel.Run(ChunkPolicy::Adaptive(1, 8));
+    LoopOptions Adaptive;
+    Adaptive.Chunking = ChunkPolicy::Adaptive(1, 8);
+    KernelResult A = Kernel.Run(Adaptive);
     SweepCorrect &= A.Correct;
     const bool Ok = A.Score >= BestStatic * (1.0 - Tolerance);
     EveryKernelOk &= Ok;

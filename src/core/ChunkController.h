@@ -193,8 +193,8 @@ private:
 
 /// One loop's tuning snapshot (SpiceLoop::tuning()): the effective
 /// chunking the next invocation will use plus the controller state that
-/// chose it. For ChunkPolicy::Static loops the snapshot simply restates
-/// the pinned k.
+/// chose it. For static loops (LoopOptions::ChunksPerThread) the
+/// snapshot simply restates the pinned k.
 struct LoopTuning {
   /// Chunk policy in effect.
   bool Adaptive = false;

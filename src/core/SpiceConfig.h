@@ -9,11 +9,9 @@
 ///
 ///  * RuntimeConfig -- process-wide settings of a SpiceRuntime (thread
 ///    count, worker placement hooks). One runtime serves many loops.
-///  * LoopOptions -- per-loop policy (chunk granularity via ChunkPolicy,
-///    conflict detection, work metric, recovery limits).
-///  * SpiceConfig -- the flat effective view of both (every knob of a
-///    registered loop in one struct, see mergedConfig()); it splits
-///    into the two scoped structs via runtime() / loop().
+///  * LoopOptions -- per-loop policy (chunk granularity via
+///    ChunksPerThread or an adaptive ChunkPolicy, conflict detection,
+///    work metric, recovery limits).
 ///
 /// Plus the statistics block every experiment reads (mis-speculation
 /// rates, squashes, load balance).
@@ -127,18 +125,17 @@ struct RuntimeConfig {
 };
 
 /// Chunk-granularity policy of one loop (LoopOptions::Chunking): either
-/// a pinned chunks-per-thread -- the default, bit-for-bit the historical
-/// behavior -- or online control by a per-loop ChunkController that
-/// moves k inside [MinK, MaxK] from the loop's own counters (see
-/// core/ChunkController.h; docs/tuning.md is the operator guide).
+/// the pinned LoopOptions::ChunksPerThread -- the default, bit-for-bit
+/// the historical behavior -- or online control by a per-loop
+/// ChunkController that moves k inside [MinK, MaxK] from the loop's own
+/// counters (see core/ChunkController.h; docs/tuning.md is the operator
+/// guide).
 struct ChunkPolicy {
   enum class Kind : uint8_t { Static, Adaptive };
   Kind Mode = Kind::Static;
 
-  /// Inclusive chunks-per-thread bounds. Static policies pin
-  /// MinK == MaxK; the default 0 defers to the flat
-  /// LoopOptions::ChunksPerThread knob, so code that only sets that
-  /// field keeps its exact behavior.
+  /// Inclusive chunks-per-thread bounds of an adaptive policy; unused
+  /// by the static default, which runs LoopOptions::ChunksPerThread.
   unsigned MinK = 0;
   unsigned MaxK = 0;
 
@@ -148,14 +145,6 @@ struct ChunkPolicy {
   /// invocations swing between clean and squashed runs need longer
   /// epochs so a probe compares means, not single draws.
   unsigned EpochInvocations = 6;
-
-  /// Pinned k: every invocation runs K chunks per thread.
-  static ChunkPolicy Static(unsigned K) {
-    ChunkPolicy P;
-    P.Mode = Kind::Static;
-    P.MinK = P.MaxK = K;
-    return P;
-  }
 
   /// Online control within [MinK, MaxK] (inclusive).
   static ChunkPolicy Adaptive(unsigned MinK, unsigned MaxK,
@@ -182,10 +171,9 @@ struct LoopOptions {
   /// adaptive (the controller picks k inside its bounds).
   unsigned ChunksPerThread = 1;
 
-  /// Chunk-granularity policy. The default Static policy with
-  /// unset bounds follows ChunksPerThread exactly; switch to
-  /// ChunkPolicy::Adaptive(MinK, MaxK) to let the loop tune its own k
-  /// (introspect via SpiceLoop::tuning()).
+  /// Chunk-granularity policy. The default follows ChunksPerThread
+  /// exactly; switch to ChunkPolicy::Adaptive(MinK, MaxK) to let the
+  /// loop tune its own k (introspect via SpiceLoop::tuning()).
   ChunkPolicy Chunking;
 
   /// Paper's adaptive scheme: memoize fresh live-ins on *every* invocation.
@@ -238,20 +226,10 @@ struct LoopOptions {
     return Chunking.Mode == ChunkPolicy::Kind::Adaptive;
   }
 
-  /// Smallest chunks-per-thread this loop can run (static policies pin
-  /// min == max == the configured k).
-  unsigned minChunksPerThread() const {
-    if (adaptiveChunking())
-      return Chunking.MinK;
-    return Chunking.MinK ? Chunking.MinK : ChunksPerThread;
-  }
-
   /// Largest chunks-per-thread this loop can run -- what every
   /// invocation-sized structure is allocated for.
   unsigned maxChunksPerThread() const {
-    if (adaptiveChunking())
-      return Chunking.MaxK;
-    return Chunking.MaxK ? Chunking.MaxK : ChunksPerThread;
+    return adaptiveChunking() ? Chunking.MaxK : ChunksPerThread;
   }
 
   /// Chunks of one invocation on a runtime with \p NumThreads threads;
@@ -264,36 +242,6 @@ struct LoopOptions {
     return NumThreads <= 1 ? 1 : NumThreads * maxChunksPerThread();
   }
 };
-
-/// Flat effective view of one registered loop: literally the two scoped
-/// structs glued together by inheritance, so every knob is declared
-/// (and defaulted) exactly once and field access is flat (C.NumThreads,
-/// C.ChunksPerThread, ...). Produced by mergedConfig() and read back
-/// through SpiceLoop::config(); new code configures a SpiceRuntime and
-/// calls makeLoop(Traits, LoopOptions).
-struct SpiceConfig : RuntimeConfig, LoopOptions {
-  /// The runtime-wide half of this config.
-  RuntimeConfig runtime() const { return *this; }
-
-  /// The per-loop half of this config.
-  LoopOptions loop() const { return *this; }
-
-  /// Chunks of one invocation. A single-threaded configuration never
-  /// speculates, so oversubscription is meaningless there.
-  unsigned numChunks() const {
-    return LoopOptions::numChunks(NumThreads);
-  }
-};
-
-/// Inverse of SpiceConfig::runtime()/loop(): the flat effective view of
-/// a loop registered with \p Opts on a runtime configured by \p R.
-inline SpiceConfig mergedConfig(const RuntimeConfig &R,
-                                const LoopOptions &Opts) {
-  SpiceConfig C;
-  static_cast<RuntimeConfig &>(C) = R;
-  static_cast<LoopOptions &>(C) = Opts;
-  return C;
-}
 
 /// Counters accumulated across invocations of one SpiceLoop.
 ///

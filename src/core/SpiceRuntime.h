@@ -75,7 +75,11 @@ public:
   /// Convenience: a runtime with \p NumThreads threads and default
   /// cross-loop policy.
   explicit SpiceRuntime(unsigned NumThreads)
-      : SpiceRuntime(RuntimeConfig{NumThreads, {}}) {}
+      : SpiceRuntime([NumThreads] {
+          RuntimeConfig C;
+          C.NumThreads = NumThreads;
+          return C;
+        }()) {}
 
   ~SpiceRuntime() {
     // Loud in every build type: both conditions leave dangling state
@@ -96,8 +100,6 @@ public:
 
   /// Total execution contexts, including each invocation's client thread.
   unsigned numThreads() const { return Config.NumThreads; }
-
-  const RuntimeConfig &config() const { return Config; }
 
   /// The shared worker pool (NumThreads - 1 workers). Invocations lease
   /// lanes from it via the scheduler (or acquireSession directly).

@@ -45,10 +45,6 @@
 /// placement -- or on a single node -- none of it engages and every
 /// path below is bit-for-bit the topology-blind behavior.
 ///
-/// The pre-session one-shot API (launch/wait + pool-level queues) is kept
-/// for single-client users and tests; it drives workers 0..Count-1
-/// directly and may not be mixed with concurrent sessions.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPICE_CORE_WORKERPOOL_H
@@ -77,8 +73,7 @@ class WorkerPool;
 namespace detail {
 
 /// A set of per-lane chunk deques with optional back-stealing. One
-/// instance per session (and one pool-level instance for the legacy
-/// API); all methods are thread-safe against each other.
+/// instance per session; all methods are thread-safe against each other.
 class ChunkDeques {
 public:
   /// Worker-to-worker steal counts by victim locality, accumulated
@@ -274,8 +269,8 @@ struct NodeBufferPoolStats {
 };
 
 /// Persistent pool of worker threads shared by every loop of a runtime.
-/// Invocations lease lanes through sessions; the legacy one-shot API
-/// (launch/wait + pool-level queues) drives workers 0..Count-1 directly.
+/// Invocations lease lanes through sessions (acquireSession or
+/// tryAcquireSessionFor) and wake them per launch round.
 class WorkerPool {
 public:
   /// Spawns \p NumWorkers threads; they park immediately. \p
@@ -353,12 +348,6 @@ public:
                                      std::thread::id Owner,
                                      int PreferredNode = -1);
 
-  /// tryAcquireSessionFor with the calling thread as the owner.
-  SessionHandle tryAcquireSession(unsigned MaxLanes, bool AllowStealing) {
-    return tryAcquireSessionFor(MaxLanes, AllowStealing,
-                                std::this_thread::get_id());
-  }
-
   /// Hook invoked (outside the pool mutex) after every session release:
   /// the deferred-grant path. The runtime's Scheduler registers itself
   /// here so freed lanes are offered to queued invocations instead of
@@ -404,32 +393,6 @@ public:
   /// Aggregated shard counters (see NodeBufferPoolStats).
   NodeBufferPoolStats nodeBufferStats() const;
 
-  //===--------------------------------------------------------------------===//
-  // Legacy one-shot API: drives workers 0..Count-1 with no lease. May not
-  // be mixed with concurrent sessions.
-  //===--------------------------------------------------------------------===//
-
-  /// Wakes workers 0..Count-1 to run Job(WorkerIndex). The calling thread
-  /// does not participate and may do its own chunk concurrently. A launch
-  /// must be paired with wait() before the next launch; a re-entrant
-  /// launch is a protocol violation and aborts with a diagnostic (it would
-  /// otherwise clobber the in-flight job under the workers' feet).
-  void launch(unsigned Count, std::function<void(unsigned)> Job);
-
-  /// Blocks until every worker of the current launch has finished.
-  void wait();
-
-  /// Pool-level chunk deques backing the legacy API; semantics as in
-  /// ChunkDeques. resetQueues must not be called between launch() and
-  /// wait().
-  void resetQueues(unsigned NumLanes, bool AllowStealing = true);
-  void pushChunk(unsigned Lane, uint32_t Chunk);
-  void pushChunkFront(unsigned Lane, uint32_t Chunk);
-  void closeQueues();
-  bool acquireChunk(unsigned Lane, uint32_t &Chunk, bool &Stolen);
-  bool helpPopFront(uint32_t &Chunk);
-  size_t pendingChunks() const;
-
 private:
   friend class WorkerSession;
 
@@ -440,6 +403,15 @@ private:
   /// freelist shard of its first worker's node for reuse instead of
   /// deleting it.
   void recycleSession(WorkerSession *S);
+
+  /// The lease both acquire paths share. Entered with the pool mutex
+  /// held in \p Lock and at least one worker free: picks the lane count
+  /// and start node (node packing), takes a parked session, and leases
+  /// the workers to \p Owner. Unlocks before resetting the session's
+  /// deques open with one lane per leased worker.
+  SessionHandle leaseSession(std::unique_lock<std::mutex> &Lock,
+                             unsigned MaxLanes, bool AllowStealing,
+                             std::thread::id Owner, int PreferredNode);
 
   /// Pops a parked session -- \p Shard's freelist first, then the other
   /// shards -- or allocates a fresh one, bumping the SessionPoolStats
@@ -466,8 +438,7 @@ private:
                    int StartNode);
 
   /// Per-worker mailbox (guarded by Mutex). A worker runs at most one
-  /// job at a time: Session is null for legacy launches, and the job
-  /// itself lives once in the session (or in LegacyJob).
+  /// job at a time; the job itself lives once in the session.
   struct WorkerSlot {
     bool HasWork = false;
     WorkerSession *Session = nullptr;
@@ -503,11 +474,6 @@ private:
   /// Leased workers per acquiring thread (self-deadlock diagnostic in
   /// acquireSession; keyed by the session's owner, guarded by Mutex).
   std::unordered_map<std::thread::id, unsigned> WorkersHeldByThread;
-  /// Legacy launches' job; same single-storage discipline as
-  /// WorkerSession::Job.
-  std::function<void(unsigned)> LegacyJob;
-  unsigned LegacyRemaining = 0;
-  bool LegacyInFlight = false;
   bool ShuttingDown = false;
   /// Released sessions parked for reuse, sharded by the node of the
   /// session's first worker -- one shard without locality (guarded by
@@ -519,8 +485,6 @@ private:
   /// Per-node warm SpecWriteBuffer freelists (empty without a
   /// multi-node placement; buffers deleted in the pool destructor).
   std::vector<std::unique_ptr<BufferShard>> BufferShards;
-
-  detail::ChunkDeques LegacyDeques;
 };
 
 inline unsigned WorkerSession::laneNode(unsigned Lane) const {

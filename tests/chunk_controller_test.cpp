@@ -354,7 +354,7 @@ TEST(AdaptiveChunking, StaticLoopTuningRestatesPinnedK) {
   SpiceRuntime RT(4);
   OtterTraits Traits;
   LoopOptions O;
-  O.Chunking = ChunkPolicy::Static(2);
+  O.ChunksPerThread = 2;
   auto Loop = RT.makeLoop(Traits, O);
   const LoopTuning T = Loop.tuning();
   EXPECT_FALSE(T.Adaptive);

@@ -6,9 +6,9 @@
 //
 // The SpiceRuntime API: one shared WorkerPool serving many loops, worker
 // lane leasing (WorkerPool sessions), concurrent invocations from
-// different client threads (run under TSan in CI), the bit-for-bit
-// equivalence of the legacy one-pool-per-loop constructor, and the
-// LoopBuilder lambda front-end.
+// different client threads (run under TSan in CI), deterministic
+// protocol stats on a shared runtime, and the LoopBuilder lambda
+// front-end.
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,15 +154,6 @@ TEST(WorkerSession, NestedAcquireWaitsWhenOtherThreadsHoldLanes) {
   Unblocker.join();
 }
 
-TEST(WorkerSession, LegacyLaunchStillWorksBetweenSessions) {
-  WorkerPool Pool(2);
-  { WorkerPool::SessionHandle S = Pool.acquireSession(2, true); }
-  std::atomic<int> N{0};
-  Pool.launch(2, [&](unsigned) { N.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(N.load(), 2);
-}
-
 //===----------------------------------------------------------------------===//
 // SpiceRuntime: many loops, one pool
 //===----------------------------------------------------------------------===//
@@ -177,7 +168,7 @@ TEST(SpiceRuntime, RegistersAndUnregistersLoops) {
     Oversub.ChunksPerThread = 2;
     auto L2 = RT.makeLoop(Traits, Oversub);
     EXPECT_EQ(RT.numLoops(), 2u);
-    EXPECT_EQ(L1.config().NumThreads, 4u);
+    EXPECT_EQ(L1.runtime().numThreads(), 4u);
     EXPECT_EQ(L2.options().ChunksPerThread, 2u);
     EXPECT_EQ(&L1.runtime(), &RT);
   }
@@ -333,7 +324,7 @@ TEST(SpiceRuntime, ConcurrentClientsShareASingleWorker) {
 }
 
 //===----------------------------------------------------------------------===//
-// Bit-for-bit equivalence with the legacy one-pool-per-loop constructor
+// Deterministic protocol stats: a stable list never squashes
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -379,37 +370,51 @@ void expectStatsEqual(const SpiceStats &A, const SpiceStats &B) {
 
 } // namespace
 
-TEST(SpiceRuntime, RuntimeLoopMatchesLegacyLoopStatsBitForBit) {
-  // ChunksPerThread == 1, sole loop, sole client: the runtime handle must
-  // reproduce the legacy private-pool protocol stats exactly.
-  OtterTraits TraitsLegacy, TraitsRuntime;
-  SpiceConfig Legacy;
-  Legacy.NumThreads = 4;
-  SpiceLoop<OtterTraits> LegacyLoop(TraitsLegacy, Legacy);
-  SpiceStats A = runStableOtter(LegacyLoop);
+TEST(SpiceRuntime, StableListStatsMatchOnFreshAndSharedRuntimes) {
+  // ChunksPerThread == 1, sole client: the protocol stats are fully
+  // determined, and a loop on a runtime whose pool another loop has
+  // already driven (recycled sessions) must reproduce a fresh runtime's
+  // stats exactly.
+  OtterTraits TraitsFresh, TraitsShared, TraitsOther;
+  SpiceRuntime Fresh(/*NumThreads=*/4);
+  auto FreshLoop = Fresh.makeLoop(TraitsFresh);
+  SpiceStats A = runStableOtter(FreshLoop);
 
-  SpiceRuntime RT(/*NumThreads=*/4);
-  auto RuntimeLoop = RT.makeLoop(TraitsRuntime);
-  SpiceStats B = runStableOtter(RuntimeLoop);
+  SpiceRuntime Shared(/*NumThreads=*/4);
+  auto Other = Shared.makeLoop(TraitsOther);
+  (void)runStableOtter(Other);
+  auto SharedLoop = Shared.makeLoop(TraitsShared);
+  SpiceStats B = runStableOtter(SharedLoop);
 
   expectStatsEqual(A, B);
+  EXPECT_EQ(A.Invocations, 10u);
   EXPECT_EQ(A.SequentialInvocations, 1u);
   EXPECT_EQ(A.FullySpeculativeInvocations, 9u);
+  EXPECT_EQ(A.MisspeculatedInvocations, 0u);
+  EXPECT_EQ(A.SquashedThreads, 0u);
+  EXPECT_EQ(A.TotalIterations, 10u * 600u);
+  // Nine parallel invocations, each launching 3 speculative chunks on 3
+  // granted lanes; nothing to steal at one chunk per thread.
+  EXPECT_EQ(A.LaunchedSpecThreads, 27u);
+  EXPECT_EQ(A.GrantedLanes, 27u);
+  EXPECT_EQ(A.StolenChunks, 0u);
+  EXPECT_EQ(A.RecoveryIterations, 0u);
+  EXPECT_EQ(A.WastedIterations, 0u);
 }
 
-TEST(SpiceRuntime, OversubscribedRuntimeLoopMatchesLegacyStats) {
-  OtterTraits TraitsLegacy, TraitsRuntime;
-  SpiceConfig Legacy;
-  Legacy.NumThreads = 4;
-  Legacy.ChunksPerThread = 4;
-  SpiceLoop<OtterTraits> LegacyLoop(TraitsLegacy, Legacy);
-  SpiceStats A = runStableOtter(LegacyLoop);
-
-  SpiceRuntime RT(/*NumThreads=*/4);
+TEST(SpiceRuntime, OversubscribedStableStatsMatchOnSharedRuntime) {
   LoopOptions Oversub;
   Oversub.ChunksPerThread = 4;
-  auto RuntimeLoop = RT.makeLoop(TraitsRuntime, Oversub);
-  SpiceStats B = runStableOtter(RuntimeLoop);
+  OtterTraits TraitsFresh, TraitsShared, TraitsOther;
+  SpiceRuntime Fresh(/*NumThreads=*/4);
+  auto FreshLoop = Fresh.makeLoop(TraitsFresh, Oversub);
+  SpiceStats A = runStableOtter(FreshLoop);
+
+  SpiceRuntime Shared(/*NumThreads=*/4);
+  auto Other = Shared.makeLoop(TraitsOther, Oversub);
+  (void)runStableOtter(Other);
+  auto SharedLoop = Shared.makeLoop(TraitsShared, Oversub);
+  SpiceStats B = runStableOtter(SharedLoop);
 
   // A stable list never squashes, so every deterministic counter must
   // agree; steal/help counters are timing-dependent under
@@ -420,6 +425,14 @@ TEST(SpiceRuntime, OversubscribedRuntimeLoopMatchesLegacyStats) {
   EXPECT_EQ(A.FullySpeculativeInvocations, B.FullySpeculativeInvocations);
   EXPECT_EQ(A.TotalIterations, B.TotalIterations);
   EXPECT_EQ(A.LaunchedSpecThreads, B.LaunchedSpecThreads);
+  EXPECT_EQ(A.Invocations, 10u);
+  EXPECT_EQ(A.SequentialInvocations, 1u);
+  EXPECT_EQ(A.MisspeculatedInvocations, 0u);
+  EXPECT_EQ(A.FullySpeculativeInvocations, 9u);
+  EXPECT_EQ(A.TotalIterations, 10u * 600u);
+  // 16 chunks per invocation: 15 speculative ones on each of the nine
+  // parallel invocations.
+  EXPECT_EQ(A.LaunchedSpecThreads, 9u * 15u);
 }
 
 //===----------------------------------------------------------------------===//
